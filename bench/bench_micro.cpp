@@ -24,6 +24,7 @@
 #include "fluid/circulation.hpp"
 #include "graph/ksp.hpp"
 #include "graph/maxflow.hpp"
+#include "graph/shortest_path.hpp"
 #include "lp/simplex.hpp"
 #include "routing/path_cache.hpp"
 #include "routing/waterfilling_router.hpp"
@@ -756,6 +757,76 @@ void report_quantile_selection() {
     std::cout << "WARNING: nth_element quantile slower than copy+sort\n";
 }
 
+/// The edge-disjoint selection as it ran before the PathSearch kernel:
+/// bfs_path through a std::function filter, each BFS allocating three
+/// n-sized vectors and a queue.
+std::vector<Path> filtered_edge_disjoint(const Graph& g, NodeId src,
+                                         NodeId dst, int k) {
+  std::vector<Path> result;
+  std::vector<char> used(static_cast<std::size_t>(g.num_edges()), 0);
+  const auto filter = [&](EdgeId e) {
+    return !used[static_cast<std::size_t>(e)];
+  };
+  for (int i = 0; i < k; ++i) {
+    Path p = bfs_path(g, src, dst, filter);
+    if (p.empty()) break;
+    for (EdgeId e : p.edges) used[static_cast<std::size_t>(e)] = 1;
+    result.push_back(std::move(p));
+  }
+  return result;
+}
+
+/// Path-search guardrail: 4 edge-disjoint paths per pair on the 3774-node
+/// ripple-full graph through the PathSearch kernel (one reused scratch,
+/// flat output) vs the filtered bfs_path search it replaced. Budget: >= 1x.
+/// A change that brings per-search allocation back into the kernel shows
+/// up here as a falling speedup.
+void report_edge_disjoint_kernel() {
+  using Clock = std::chrono::steady_clock;
+  const int min_millis = env_int("SPIDER_MICRO_PLANNER_MS", 500);
+  ScenarioParams params;
+  params.payments = 1000;
+  const ScenarioInstance scenario = build_scenario("ripple-full", params);
+  const Graph& g = scenario.graph;
+  const auto pairs_per_second = [&](auto&& one_pair) {
+    std::int64_t pairs = 0;
+    const auto start = Clock::now();
+    double elapsed = 0;
+    while (elapsed * 1000 < min_millis) {
+      const PaymentSpec& spec =
+          scenario.trace[static_cast<std::size_t>(pairs) %
+                         scenario.trace.size()];
+      benchmark::DoNotOptimize(one_pair(spec.src, spec.dst));
+      ++pairs;
+      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+    }
+    return static_cast<double>(pairs) / elapsed;
+  };
+  PathSearch search;
+  FlatPaths found;
+  const double kernel = pairs_per_second([&](NodeId src, NodeId dst) {
+    found.clear();
+    return edge_disjoint_paths(g, src, dst, 4, search, found);
+  });
+  const double filtered = pairs_per_second([&](NodeId src, NodeId dst) {
+    return filtered_edge_disjoint(g, src, dst, 4).size();
+  });
+  const double speedup = filtered > 0 ? kernel / filtered : 0.0;
+
+  Table table({"edge-disjoint k=4 (ripple-full)", "pairs_per_sec",
+               "speedup_vs_filtered"});
+  table.add_row({"PathSearch kernel", Table::num(kernel, 0),
+                 Table::num(speedup, 2)});
+  table.add_row({"bfs_path + EdgeFilter", Table::num(filtered, 0),
+                 Table::num(1.0, 2)});
+  std::cout << "\nEdge-disjoint path search (pairs/sec, higher is better):\n"
+            << table.render();
+  maybe_write_csv("micro_edge_disjoint_kernel", table);
+  if (speedup < 1.0)
+    std::cout << "WARNING: PathSearch kernel slower than the filtered "
+                 "bfs_path search\n";
+}
+
 /// Trace-parse guardrail for the packed binary format: streaming a .sptr
 /// through the mmap'd BinaryTraceReader must beat the CSV parser by >= 5x
 /// rows/sec. The format exists to delete parse cost from paper-scale
@@ -824,5 +895,6 @@ int main(int argc, char** argv) {
   spider::report_shard_consume_overhead();
   spider::report_transport_mark_overhead();
   spider::report_quantile_selection();
+  spider::report_edge_disjoint_kernel();
   return 0;
 }

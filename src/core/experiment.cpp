@@ -3,6 +3,11 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "core/runner.hpp"
 #include "util/csv.hpp"
@@ -154,6 +159,20 @@ int env_int(const char* name, int fallback) {
   } catch (const std::exception&) {
     return fallback;
   }
+}
+
+unsigned thread_budget() {
+  const int from_env = env_int("SPIDER_THREADS", 0);
+  if (from_env > 0) return static_cast<unsigned>(from_env);
+#ifdef __linux__
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
+      CPU_COUNT(&allowed) > 0)
+    return static_cast<unsigned>(CPU_COUNT(&allowed));
+#endif
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware > 0 ? hardware : 1;
 }
 
 double env_double(const char* name, double fallback) {

@@ -91,6 +91,13 @@ void maybe_write_windows_csv(const std::string& bench_name,
 [[nodiscard]] std::string env_string(const char* name,
                                      const std::string& fallback);
 
+/// The process-wide core budget that the ExperimentRunner pool, sharded
+/// runs and the candidate-path warm all size their threads from:
+/// SPIDER_THREADS when set, else the CPUs this process may run on (its
+/// affinity mask, so taskset / cpuset limits are honoured), else the
+/// hardware concurrency. Always >= 1.
+[[nodiscard]] unsigned thread_budget();
+
 /// If SPIDER_BENCH_CSV_DIR is set, writes `table` to
 /// <dir>/<bench_name>.csv; otherwise does nothing.
 void maybe_write_csv(const std::string& bench_name, const Table& table);

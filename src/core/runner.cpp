@@ -7,18 +7,6 @@
 
 namespace spider {
 
-namespace {
-
-unsigned resolve_threads(unsigned requested) {
-  if (requested > 0) return requested;
-  const int from_env = env_int("SPIDER_THREADS", 0);
-  if (from_env > 0) return static_cast<unsigned>(from_env);
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? hardware : 1;
-}
-
-}  // namespace
-
 unsigned resolve_parallel_cap(unsigned budget, int shards) {
   if (budget == 0) budget = 1;
   if (shards <= 1) return budget;
@@ -26,7 +14,7 @@ unsigned resolve_parallel_cap(unsigned budget, int shards) {
 }
 
 ExperimentRunner::ExperimentRunner(unsigned threads) {
-  const unsigned count = resolve_threads(threads);
+  const unsigned count = threads > 0 ? threads : thread_budget();
   workers_.reserve(count);
   for (unsigned i = 0; i < count; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -121,6 +109,13 @@ std::vector<CellResult> ExperimentRunner::run_grid(
   networks.reserve(scenarios.size());
   for (const ScenarioInstance& scenario : scenarios)
     networks.emplace_back(scenario.graph, scenario.config);
+  // Warm each scenario's candidate-path store here, one scenario at a time,
+  // so every warm gets the whole core budget to itself instead of several
+  // cells warming different networks at once, each with the full budget.
+  // The cells then find their store warm.
+  if (std::any_of(schemes.begin(), schemes.end(), scheme_uses_path_store))
+    for (std::size_t s = 0; s < scenarios.size(); ++s)
+      networks[s].warm_paths(scenarios[s].trace);
 
   // Nested-parallelism arbiter: sharded cells (config.shards > 1) spawn
   // their own planner threads, so the pool and the shard workers must split

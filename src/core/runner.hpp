@@ -11,9 +11,9 @@
 // interleaves.
 //
 // Thread count resolution: an explicit constructor argument wins; otherwise
-// the SPIDER_THREADS environment variable; otherwise the hardware
-// concurrency. for_each() must not be re-entered from a worker (no nested
-// parallelism).
+// thread_budget() (core/experiment.hpp): SPIDER_THREADS, else the CPUs in
+// the process's affinity mask. for_each() must not be re-entered from a
+// worker (no nested parallelism).
 #pragma once
 
 #include <condition_variable>
@@ -68,7 +68,7 @@ struct CellResult {
 
 class ExperimentRunner {
  public:
-  /// threads == 0: SPIDER_THREADS env var, else hardware concurrency.
+  /// threads == 0: thread_budget().
   explicit ExperimentRunner(unsigned threads = 0);
   ~ExperimentRunner();
 
@@ -93,7 +93,9 @@ class ExperimentRunner {
   /// Executes the full scenarios × schemes × seeds grid (seed innermost,
   /// scheme next, scenario outermost — the same order a serial triple loop
   /// would produce). An empty `seeds` means "each scenario's configured
-  /// seed". Results are in grid order regardless of scheduling.
+  /// seed". Results are in grid order regardless of scheduling. Each
+  /// scenario's candidate-path store is warmed, one scenario at a time,
+  /// before any cell starts.
   [[nodiscard]] std::vector<CellResult> run_grid(
       const std::vector<ScenarioInstance>& scenarios,
       const std::vector<Scheme>& schemes,

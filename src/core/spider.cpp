@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "core/experiment.hpp"
+
 namespace spider {
 
 /// Guards lazy construction/warming of the shared candidate-path store so
@@ -38,7 +40,10 @@ void SpiderNetwork::warm_paths(const std::vector<PaymentSpec>& trace) const {
   for (const PaymentSpec& spec : trace)
     if (!paths_->store->contains(spec.src, spec.dst))
       missing.emplace_back(spec.src, spec.dst);
-  if (!missing.empty()) paths_->store->warm(missing);
+  if (missing.empty()) return;
+  // The store fans the distinct pairs out over as much of the core budget
+  // as the work pays for, threads joined before warm() returns.
+  paths_->store->warm(missing, thread_budget());
 }
 
 const PathCache* SpiderNetwork::path_store() const {

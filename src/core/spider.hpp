@@ -92,9 +92,12 @@ class SpiderNetwork {
   /// config.path_selection) for every (src, dst) pair in `trace`.
   /// Idempotent and cheap once warmed; run() calls it automatically, so a
   /// grid of runs over one trace computes each pair's paths exactly once
-  /// instead of once per run. Thread-safe under the ExperimentRunner
-  /// pattern (concurrent run()s over the SAME trace); concurrently warming
-  /// DIFFERENT traces while other runs are in flight is not supported.
+  /// instead of once per run. Large warms fan the searches out over up to
+  /// thread_budget() threads (core/experiment.hpp), all joined before it
+  /// returns; the store is the same for any thread count. Thread-safe
+  /// under the ExperimentRunner pattern (concurrent run()s over the SAME
+  /// trace); concurrently warming DIFFERENT traces while other runs are in
+  /// flight is not supported.
   void warm_paths(const std::vector<PaymentSpec>& trace) const;
 
   /// The shared store (nullptr before the first warm_paths()/run()).

@@ -1,11 +1,36 @@
 #include "routing/path_cache.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <functional>
+#include <thread>
 
-#include "graph/ksp.hpp"
 #include "util/assert.hpp"
 
 namespace spider {
+
+namespace {
+
+/// Hops per path a warm worker's buffers are sized for up front. Candidate
+/// paths on the registry graphs are shorter: about 4.5 hops on average on
+/// ripple-full, less on the others, and at most 29 nodes per 4-path pair.
+constexpr std::size_t kReservedHopsPerPath = 7;
+
+/// Appends (src, dst)'s candidate paths under `selection` to `out`; returns
+/// how many.
+std::size_t select_paths(const Graph& graph, NodeId src, NodeId dst, int k,
+                         PathSelection selection, PathSearch& search,
+                         FlatPaths& out) {
+  switch (selection) {
+    case PathSelection::kEdgeDisjoint:
+      return edge_disjoint_paths(graph, src, dst, k, search, out);
+    case PathSelection::kYen:
+      return yen_k_shortest_paths(graph, src, dst, k, search, out);
+  }
+  return 0;
+}
+
+}  // namespace
 
 std::string path_selection_name(PathSelection selection) {
   switch (selection) {
@@ -35,24 +60,21 @@ PathCache::PairEntry PathCache::lookup(NodeId src, NodeId dst) const {
 }
 
 PathCache::PairEntry PathCache::compute_and_store(NodeId src, NodeId dst) {
-  std::vector<Path> found;
-  switch (selection_) {
-    case PathSelection::kEdgeDisjoint:
-      found = edge_disjoint_paths(*graph_, src, dst, k_);
-      break;
-    case PathSelection::kYen:
-      found = yen_k_shortest_paths(*graph_, src, dst, k_);
-      break;
-  }
+  found_.clear();
+  const std::size_t count =
+      select_paths(*graph_, src, dst, k_, selection_, search_, found_);
+  FlatPaths::Cursor cursor(found_);
+  return store(src, dst, cursor, count);
+}
+
+PathCache::PairEntry PathCache::store(NodeId src, NodeId dst,
+                                      FlatPaths::Cursor& cursor,
+                                      std::size_t count) {
   PairEntry entry;
   entry.begin = static_cast<std::uint32_t>(arena_.size());
-  entry.count = static_cast<std::int32_t>(found.size());
-  arena_.insert(arena_.end(), std::make_move_iterator(found.begin()),
-                std::make_move_iterator(found.end()));
-  if (dense_)
-    dense_index_[dense_key(src, dst)] = entry;
-  else
-    sparse_index_[sparse_key(src, dst)] = entry;
+  entry.count = static_cast<std::int32_t>(count);
+  for (std::size_t i = 0; i < count; ++i) arena_.push_back(cursor.next());
+  slot(src, dst) = entry;
   ++pair_count_;
   return entry;
 }
@@ -74,11 +96,118 @@ bool PathCache::contains(NodeId src, NodeId dst) const {
   return src == dst || lookup(src, dst).count >= 0;
 }
 
-void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs) {
+void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs,
+                     unsigned workers) {
+  const std::size_t visits_per_pair =
+      static_cast<std::size_t>(k_) *
+      (static_cast<std::size_t>(graph_->num_nodes()) +
+       2 * static_cast<std::size_t>(graph_->num_edges()));
+  warm_for_testing(pairs, workers,
+                   kWarmVisitsPerWorker /
+                           std::max<std::size_t>(visits_per_pair, 1) +
+                       1);
+}
+
+void PathCache::warm_for_testing(
+    std::span<const std::pair<NodeId, NodeId>> pairs, unsigned workers,
+    std::size_t min_pairs_per_worker) {
+  // The missing pairs, each once, in first-occurrence order: the order a
+  // serial warm would store them in. A listed pair's index entry is marked
+  // kQueued until its paths are stored, so repeats are skipped.
+  std::vector<std::pair<NodeId, NodeId>> jobs;
   for (const auto& [src, dst] : pairs) {
-    if (src == dst) continue;
-    if (lookup(src, dst).count >= 0) continue;
-    (void)compute_and_store(src, dst);
+    if (src == dst || lookup(src, dst).count != kNotComputed) continue;
+    slot(src, dst).count = kQueued;
+    jobs.emplace_back(src, dst);
+  }
+  try {
+    store_jobs(jobs, workers, min_pairs_per_worker);
+  } catch (...) {
+    // Unmark what was not stored, so a later warm lists it again.
+    for (const auto& [src, dst] : jobs)
+      if (slot(src, dst).count == kQueued) slot(src, dst).count = kNotComputed;
+    throw;
+  }
+}
+
+void PathCache::store_jobs(std::span<const std::pair<NodeId, NodeId>> jobs,
+                           unsigned workers,
+                           std::size_t min_pairs_per_worker) {
+  if (jobs.empty()) return;
+  const std::size_t block_count = std::clamp<std::size_t>(
+      jobs.size() / std::max<std::size_t>(min_pairs_per_worker, 1), 1,
+      std::max(workers, 1u));
+  const auto block_begin = [&](std::size_t b) {
+    return jobs.size() * b / block_count;
+  };
+  // Room for the most paths the pairs can add, so the arena does not regrow
+  // and copy partway through; pages past the paths stored are never
+  // touched.
+  const std::size_t need = arena_.size() + jobs.size() *
+                                               static_cast<std::size_t>(k_);
+  if (need > arena_.capacity())
+    arena_.reserve(std::max(need, 2 * arena_.capacity()));
+
+  // The jobs are split into contiguous blocks. Blocks 1.. are each searched
+  // on their own thread, with their own scratch, into their own flat
+  // buffers; block 0 is searched on the calling thread and stored as it
+  // goes, since no worker reads the arena or the index. So a one-block warm
+  // starts no thread and holds no flat buffers. A worker's scratch and
+  // buffers are allocated here, on the calling thread, and sized so an
+  // edge-disjoint worker normally never allocates: memory a worker
+  // allocates lands in its own malloc arena, which the calling thread
+  // cannot reuse afterwards. Yen's kernel still allocates its candidates
+  // on the worker (DESIGN.md).
+  struct Block {
+    PathSearch search;
+    FlatPaths found;
+    std::vector<std::size_t> counts;  // paths per pair, in job order
+    std::exception_ptr error;
+  };
+  const std::size_t path_nodes = std::min<std::size_t>(
+      kReservedHopsPerPath + 1, static_cast<std::size_t>(graph_->num_nodes()));
+  std::vector<Block> blocks(block_count);  // blocks[0] stays empty
+  for (std::size_t b = 1; b < block_count; ++b) {
+    Block& block = blocks[b];
+    const std::size_t pairs = block_begin(b + 1) - block_begin(b);
+    const std::size_t max_paths = pairs * static_cast<std::size_t>(k_);
+    block.search.clear_excluded_edges(*graph_);  // sizes the scratch
+    block.found.nodes.reserve(max_paths * path_nodes);
+    block.found.edges.reserve(max_paths * (path_nodes - 1));
+    block.found.hops.reserve(max_paths);
+    block.counts.reserve(pairs);
+  }
+  const auto search_block = [&](std::size_t b) {
+    Block& block = blocks[b];
+    try {
+      for (std::size_t j = block_begin(b); j < block_begin(b + 1); ++j)
+        block.counts.push_back(select_paths(*graph_, jobs[j].first,
+                                            jobs[j].second, k_, selection_,
+                                            block.search, block.found));
+    } catch (...) {
+      block.error = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(block_count - 1);
+    for (std::size_t b = 1; b < block_count; ++b)
+      threads.emplace_back(search_block, b);
+    for (std::size_t j = 0; j < block_begin(1); ++j)
+      (void)compute_and_store(jobs[j].first, jobs[j].second);
+  }  // joins every worker, also when block 0 threw
+  for (const Block& block : blocks)
+    if (block.error) std::rethrow_exception(block.error);
+
+  // Build the workers' Paths here, on the calling thread, in pair order,
+  // freeing each block's buffers as soon as they are consumed.
+  for (std::size_t b = 1; b < block_count; ++b) {
+    Block& block = blocks[b];
+    FlatPaths::Cursor cursor(block.found);
+    for (std::size_t j = block_begin(b); j < block_begin(b + 1); ++j)
+      (void)store(jobs[j].first, jobs[j].second, cursor,
+                  block.counts[j - block_begin(b)]);
+    block = Block{};
   }
 }
 
@@ -153,14 +282,10 @@ bool CandidatePaths::all_open(std::span<const Path> paths) const {
   return true;
 }
 
-std::vector<Path> CandidatePaths::compute_pair(NodeId src, NodeId dst) const {
-  switch (selection_) {
-    case PathSelection::kEdgeDisjoint:
-      return edge_disjoint_paths(*graph_, src, dst, k_);
-    case PathSelection::kYen:
-      return yen_k_shortest_paths(*graph_, src, dst, k_);
-  }
-  return {};
+std::vector<Path> CandidatePaths::compute_pair(NodeId src, NodeId dst) {
+  found_.clear();
+  (void)select_paths(*graph_, src, dst, k_, selection_, search_, found_);
+  return found_.paths();
 }
 
 std::span<const Path> CandidatePaths::churned_paths(

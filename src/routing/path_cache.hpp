@@ -18,6 +18,13 @@
 // from any number of threads. Mutations (`paths` on a miss, `warm`) must be
 // externally serialized and must not overlap const readers — the
 // SpiderNetwork facade warms under a lock before handing the store out.
+// `warm` is internally parallel: it splits the missing pairs into
+// contiguous blocks. The calling thread searches and stores the first
+// block itself; every other block is searched on its own thread with its
+// own scratch into flat buffers, and only after joining those threads does
+// the calling thread build their Paths and append them in pair order. No
+// worker touches the arena or the index, so they are byte-identical to a
+// serial warm for any worker count, and no thread outlives the call.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +35,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/ksp.hpp"
 
 namespace spider {
 
@@ -55,8 +63,20 @@ class PathCache {
   /// always stored: their answer is the empty set).
   [[nodiscard]] bool contains(NodeId src, NodeId dst) const;
 
-  /// Precomputes every listed pair not yet stored. Idempotent.
-  void warm(std::span<const std::pair<NodeId, NodeId>> pairs);
+  /// Precomputes every listed pair not yet stored, first occurrence first.
+  /// Idempotent. Up to `workers` threads, the calling one included, share
+  /// the searches, but only as many as the work pays for: each worker is
+  /// handed at least kWarmVisitsPerWorker estimated adjacency visits (a
+  /// pair costs at most k BFS sweeps of n + 2m visits). The stored result
+  /// does not depend on the thread count.
+  void warm(std::span<const std::pair<NodeId, NodeId>> pairs,
+            unsigned workers = 1);
+
+  /// Test seam: warm() with the per-worker minimum given in pairs instead
+  /// of derived from the graph, so tests can fan the pairs of a small graph
+  /// out over threads. Production code calls warm().
+  void warm_for_testing(std::span<const std::pair<NodeId, NodeId>> pairs,
+                        unsigned workers, std::size_t min_pairs_per_worker);
 
   [[nodiscard]] int k() const { return k_; }
   [[nodiscard]] PathSelection selection() const { return selection_; }
@@ -69,9 +89,18 @@ class PathCache {
   static constexpr NodeId kDenseNodeLimit = 4096;
 
  private:
+  static constexpr std::int32_t kNotComputed = -1;
+  static constexpr std::int32_t kQueued = -2;  // listed by a warm() under way
+  /// Search work, in adjacency visits, a warm worker must be handed before
+  /// its thread pays for itself: about 0.15 s of searching on a 4-vCPU
+  /// host, where shorter bursts measured no faster on 4 threads than on 1.
+  /// This puts the ripple-full warm (3774 nodes) on 4 threads and keeps the
+  /// lightning-churn and ISP warms serial.
+  static constexpr std::size_t kWarmVisitsPerWorker = std::size_t{1} << 26;
+
   struct PairEntry {
     std::uint32_t begin = 0;
-    std::int32_t count = -1;  // -1: not yet computed
+    std::int32_t count = kNotComputed;
   };
 
   [[nodiscard]] std::size_t dense_key(NodeId src, NodeId dst) const {
@@ -85,7 +114,20 @@ class PathCache {
            static_cast<std::uint32_t>(dst);
   }
   [[nodiscard]] PairEntry lookup(NodeId src, NodeId dst) const;
+  /// The pair's index entry, created (not computed) if the index is sparse.
+  [[nodiscard]] PairEntry& slot(NodeId src, NodeId dst) {
+    return dense_ ? dense_index_[dense_key(src, dst)]
+                  : sparse_index_[sparse_key(src, dst)];
+  }
   [[nodiscard]] PairEntry compute_and_store(NodeId src, NodeId dst);
+  /// warm()'s work: computes and stores `jobs` (distinct, each kQueued) in
+  /// order, searching on up to `workers` threads.
+  void store_jobs(std::span<const std::pair<NodeId, NodeId>> jobs,
+                  unsigned workers, std::size_t min_pairs_per_worker);
+  /// Appends the next `count` paths of `cursor` to the arena as the pair's
+  /// range and indexes it.
+  PairEntry store(NodeId src, NodeId dst, FlatPaths::Cursor& cursor,
+                  std::size_t count);
   [[nodiscard]] std::span<const Path> resolve(const PairEntry& entry) const {
     return {arena_.data() + entry.begin,
             static_cast<std::size_t>(entry.count)};
@@ -99,6 +141,8 @@ class PathCache {
   std::vector<PairEntry> dense_index_;                    // n*n when dense
   std::unordered_map<std::uint64_t, PairEntry> sparse_index_;
   std::vector<Path> arena_;  // contiguous; a pair's paths are one range
+  PathSearch search_;        // scratch for misses computed by paths()
+  FlatPaths found_;
 };
 
 /// Router-side path source: prefers a shared warmed PathCache (const,
@@ -158,7 +202,7 @@ class CandidatePaths {
   /// The pair's verdict-tag slot (dense array or hash entry; see memo_).
   [[nodiscard]] std::uint64_t& memo_tag(NodeId src, NodeId dst);
   [[nodiscard]] bool all_open(std::span<const Path> paths) const;
-  [[nodiscard]] std::vector<Path> compute_pair(NodeId src, NodeId dst) const;
+  [[nodiscard]] std::vector<Path> compute_pair(NodeId src, NodeId dst);
   /// Validate-or-recompute slow path for closure-era lookups; fills the
   /// memo tag when a dense memo is available.
   [[nodiscard]] std::span<const Path> churned_paths(
@@ -179,6 +223,8 @@ class CandidatePaths {
   std::vector<std::uint64_t> memo_;
   std::unordered_map<std::uint64_t, std::uint64_t> sparse_memo_;
   std::vector<std::vector<Path>> delta_;  // recomputed pairs, this gen only
+  PathSearch search_;  // compute_pair scratch; each router owns its own
+  FlatPaths found_;
 };
 
 }  // namespace spider

@@ -2,6 +2,7 @@
 // greedy edge-disjoint paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "graph/ksp.hpp"
@@ -53,6 +54,11 @@ TEST(Yen, LineHasExactlyOnePath) {
 TEST(Yen, KZeroReturnsNothing) {
   const Graph g = ring_topology(5, 1);
   EXPECT_TRUE(yen_k_shortest_paths(g, 0, 2, 0).empty());
+}
+
+TEST(Yen, SelfPairReturnsNothing) {
+  const Graph g = ring_topology(5, 1);
+  EXPECT_TRUE(yen_k_shortest_paths(g, 2, 2, 4).empty());
 }
 
 TEST(Yen, UnreachableReturnsNothing) {
@@ -109,6 +115,16 @@ TEST(EdgeDisjoint, DiamondYieldsTwo) {
   EXPECT_EQ(edge_disjoint_paths(g, 0, 3, 4).size(), 2u);
 }
 
+TEST(EdgeDisjoint, SelfPairYieldsNothing) {
+  const Graph g = ring_topology(5, 1);
+  EXPECT_TRUE(edge_disjoint_paths(g, 2, 2, 4).empty());
+  PathSearch search;
+  FlatPaths out;
+  EXPECT_EQ(edge_disjoint_paths(g, 2, 2, 4, search, out), 0u);
+  EXPECT_EQ(yen_k_shortest_paths(g, 2, 2, 4, search, out), 0u);
+  EXPECT_EQ(out.size(), 0u);
+}
+
 TEST(EdgeDisjoint, CountBoundedByMinDegree) {
   const Graph g = ripple_like_topology(60, xrp(100), 4);
   for (NodeId s : {0, 10, 35}) {
@@ -157,6 +173,182 @@ TEST_P(PathSelectionProperty, RandomGraphInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathSelectionProperty,
                          testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---------------------------------------------------------------------------
+// The PathSearch kernel against the filter-based searches it replaced.
+// ---------------------------------------------------------------------------
+
+/// The edge-disjoint selection as it was written over bfs_path and an
+/// EdgeFilter, before the PathSearch kernel.
+std::vector<Path> reference_edge_disjoint(const Graph& g, NodeId src,
+                                          NodeId dst, int k) {
+  std::vector<Path> result;
+  std::vector<char> used(static_cast<std::size_t>(g.num_edges()), 0);
+  const auto filter = [&](EdgeId e) {
+    return !used[static_cast<std::size_t>(e)];
+  };
+  for (int i = 0; i < k; ++i) {
+    Path p = bfs_path(g, src, dst, filter);
+    if (p.empty()) break;
+    for (EdgeId e : p.edges) used[static_cast<std::size_t>(e)] = 1;
+    result.push_back(std::move(p));
+  }
+  return result;
+}
+
+/// Yen's algorithm as it was written over bfs_path, a std::set of banned
+/// edges and an n-sized banned-node vector per spur.
+std::vector<Path> reference_yen(const Graph& g, NodeId src, NodeId dst,
+                                int k) {
+  std::vector<Path> result;
+  Path first = bfs_path(g, src, dst);
+  if (first.empty()) return result;
+  result.push_back(std::move(first));
+  auto cmp = [](const Path& x, const Path& y) {
+    if (x.length() != y.length()) return x.length() < y.length();
+    return x.nodes < y.nodes;
+  };
+  std::set<Path, decltype(cmp)> candidates(cmp);
+  while (static_cast<int>(result.size()) < k) {
+    const Path& prev = result.back();
+    for (std::size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
+      const std::vector<NodeId> root(
+          prev.nodes.begin(),
+          prev.nodes.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      std::set<EdgeId> banned_edges;
+      for (const Path& p : result)
+        if (p.nodes.size() > i &&
+            std::equal(root.begin(), root.end(), p.nodes.begin()) &&
+            p.edges.size() > i)
+          banned_edges.insert(p.edges[i]);
+      std::vector<char> banned_node(static_cast<std::size_t>(g.num_nodes()),
+                                    0);
+      for (std::size_t j = 0; j < i; ++j)
+        banned_node[static_cast<std::size_t>(root[j])] = 1;
+      const auto filter = [&](EdgeId e) {
+        const Graph::Edge& ed = g.edge(e);
+        return banned_edges.count(e) == 0 &&
+               !banned_node[static_cast<std::size_t>(ed.a)] &&
+               !banned_node[static_cast<std::size_t>(ed.b)];
+      };
+      const Path spur = bfs_path(g, prev.nodes[i], dst, filter);
+      if (spur.empty()) continue;
+      Path total;
+      total.nodes = root;
+      total.nodes.insert(total.nodes.end(), spur.nodes.begin() + 1,
+                         spur.nodes.end());
+      total.edges.assign(prev.edges.begin(),
+                         prev.edges.begin() + static_cast<std::ptrdiff_t>(i));
+      total.edges.insert(total.edges.end(), spur.edges.begin(),
+                         spur.edges.end());
+      if (std::find(result.begin(), result.end(), total) == result.end())
+        candidates.insert(std::move(total));
+    }
+    if (candidates.empty()) break;
+    result.push_back(*candidates.begin());
+    candidates.erase(candidates.begin());
+  }
+  return result;
+}
+
+/// A random graph with parallel channels, closed channels (left out of the
+/// adjacency lists but still holding their ids) and an isolated pair of
+/// nodes, so unreachable destinations occur too.
+Graph kernel_fixture(std::uint64_t seed) {
+  Rng rng(seed);
+  const Graph base = erdos_renyi_topology(28, 0.1, xrp(10), rng);
+  Graph g(base.num_nodes() + 2);
+  for (EdgeId e = 0; e < base.num_edges(); ++e) {
+    const Graph::Edge& edge = base.edge(e);
+    g.add_edge(edge.a, edge.b, edge.capacity);
+    if (rng.chance(0.15)) g.add_edge(edge.a, edge.b, edge.capacity);
+  }
+  g.add_edge(base.num_nodes(), base.num_nodes() + 1, xrp(10));
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    if (rng.chance(0.2)) g.close_edge(e);
+  return g;
+}
+
+class PathSearchKernel : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PathSearchKernel, MatchesReferenceOnRandomGraphsWithClosedEdges) {
+  const Graph g = kernel_fixture(GetParam());
+  ASSERT_GT(g.closed_edge_count(), 0);
+  // One scratch and one buffer for every search below, so stale stamps
+  // from earlier pairs would show up as wrong answers.
+  PathSearch search;
+  FlatPaths out;
+  std::size_t reachable = 0;
+  std::size_t unreachable = 0;
+  for (NodeId src = 0; src < g.num_nodes(); ++src) {
+    for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+      if (src == dst) continue;
+      const Path bfs = bfs_path(g, src, dst);
+      out.clear();
+      search.clear_excluded_edges(g);
+      EXPECT_EQ(search.shortest_path(g, src, dst, {}, out), !bfs.empty());
+      if (bfs.empty()) {
+        ++unreachable;
+        EXPECT_EQ(out.size(), 0u);
+      } else {
+        ++reachable;
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out.paths().front(), bfs) << src << " -> " << dst;
+      }
+
+      for (const int k : {1, 4}) {
+        const std::vector<Path> disjoint = reference_edge_disjoint(g, src,
+                                                                   dst, k);
+        EXPECT_EQ(edge_disjoint_paths(g, src, dst, k), disjoint)
+            << src << " -> " << dst << " k=" << k;
+        out.clear();
+        EXPECT_EQ(edge_disjoint_paths(g, src, dst, k, search, out),
+                  disjoint.size());
+        EXPECT_EQ(out.paths(), disjoint);
+
+        const std::vector<Path> yen = reference_yen(g, src, dst, k);
+        EXPECT_EQ(yen_k_shortest_paths(g, src, dst, k), yen)
+            << src << " -> " << dst << " k=" << k;
+        out.clear();
+        EXPECT_EQ(yen_k_shortest_paths(g, src, dst, k, search, out),
+                  yen.size());
+        EXPECT_EQ(out.paths(), yen);
+      }
+    }
+  }
+  EXPECT_GT(reachable, 0u);
+  EXPECT_GT(unreachable, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PathSearchKernel,
+                         testing::Values(11, 12, 13, 14));
+
+TEST(PathSearch, ExcludedEdgesAndBannedNodesAreAvoided) {
+  // Square 0-1-2-3-0 plus the chord 0-2.
+  Graph g(4);
+  g.add_edge(0, 1, 1);
+  const EdgeId e12 = g.add_edge(1, 2, 1);
+  g.add_edge(2, 3, 1);
+  g.add_edge(3, 0, 1);
+  const EdgeId chord = g.add_edge(0, 2, 1);
+  PathSearch search;
+  FlatPaths out;
+  search.clear_excluded_edges(g);
+  ASSERT_TRUE(search.shortest_path(g, 0, 2, {}, out));
+  EXPECT_EQ(out.paths().back().edges, std::vector<EdgeId>{chord});
+  search.exclude_edge(chord);
+  ASSERT_TRUE(search.shortest_path(g, 0, 2, {}, out));
+  EXPECT_EQ(out.paths().back().nodes, (std::vector<NodeId>{0, 1, 2}));
+  const NodeId banned[] = {1};
+  ASSERT_TRUE(search.shortest_path(g, 0, 2, banned, out));
+  EXPECT_EQ(out.paths().back().nodes, (std::vector<NodeId>{0, 3, 2}));
+  search.exclude_edge(e12);
+  const NodeId banned3[] = {3};
+  EXPECT_FALSE(search.shortest_path(g, 0, 2, banned3, out));
+  search.clear_excluded_edges(g);
+  EXPECT_TRUE(search.shortest_path(g, 0, 2, banned3, out));
+  EXPECT_EQ(out.size(), 4u);
+}
 
 }  // namespace
 }  // namespace spider

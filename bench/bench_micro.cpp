@@ -537,114 +537,6 @@ void report_generation_delta_lookup() {
               << Table::num(slowdown, 2) << "x)\n";
 }
 
-/// Sharded-engine consume guardrail: accepting a speculative plan at the
-/// commit thread (the cross-shard "mailbox merge" — candidate-path
-/// revalidation against the live network plus the read-slot serial scan,
-/// exactly what ShardExecutor::validate does per consume hit) must cost at
-/// most 15% of planning the payment inline. That margin is the sharded
-/// engine's whole premise: a hit replaces a plan() with a validation, so
-/// validation must be an order of magnitude cheaper or the parallelism
-/// cannot pay for itself.
-void report_shard_consume_overhead() {
-  ScenarioParams params;
-  params.payments = 2000;
-  const ScenarioInstance scenario = build_scenario("isp", params);
-  Network network(scenario.graph);
-  PathCache store(scenario.graph, 4, PathSelection::kEdgeDisjoint);
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (const PaymentSpec& spec : scenario.trace)
-    pairs.emplace_back(spec.src, spec.dst);
-  store.warm(pairs);
-  WaterfillingRouter router;
-  RouterInitContext context;
-  context.shared_paths = &store;
-  router.init(network, context);
-
-  // Pre-record each payment's speculation artifacts — the candidate paths
-  // and (edge, side) read slots a shard worker stores per slot.
-  struct Job {
-    NodeId src;
-    NodeId dst;
-    Amount amount;
-    std::vector<Path> paths;
-    std::vector<std::uint32_t> read_slots;
-  };
-  const Graph& graph = network.graph();
-  std::vector<Job> jobs;
-  jobs.reserve(scenario.trace.size());
-  for (const PaymentSpec& spec : scenario.trace) {
-    Job job{spec.src, spec.dst, spec.amount, {}, {}};
-    const std::span<const Path> candidates =
-        router.plan_read_paths(spec.src, spec.dst, network);
-    job.paths.assign(candidates.begin(), candidates.end());
-    for (const Path& path : job.paths)
-      for (std::size_t h = 0; h < path.edges.size(); ++h)
-        job.read_slots.push_back(
-            static_cast<std::uint32_t>(path.edges[h]) * 2 +
-            static_cast<std::uint32_t>(
-                graph.side_of(path.edges[h], path.nodes[h])));
-    jobs.push_back(std::move(job));
-  }
-  const std::vector<std::uint64_t> slot_serial(
-      static_cast<std::size_t>(graph.num_edges()) * 2, 0);
-  constexpr std::uint64_t kWindowSerial = 0;
-
-  using Clock = std::chrono::steady_clock;
-  const int min_millis = env_int("SPIDER_MICRO_PLANNER_MS", 500);
-  const auto rate = [&](auto&& one_job) {
-    std::int64_t done = 0;
-    const auto start = Clock::now();
-    double elapsed = 0;
-    while (elapsed * 1000 < min_millis) {
-      for (const Job& job : jobs) {
-        one_job(job);
-        ++done;
-      }
-      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    }
-    return static_cast<double>(done) / elapsed;
-  };
-
-  // Consume-hit side: what the commit thread pays to accept a speculated
-  // plan instead of planning — live candidate lookup, edge-sequence
-  // equality, balance-serial scan.
-  const double validate_rate = rate([&](const Job& job) {
-    const std::span<const Path> live =
-        router.plan_read_paths(job.src, job.dst, network);
-    bool ok = live.size() == job.paths.size();
-    for (std::size_t i = 0; ok && i < job.paths.size(); ++i)
-      ok = live[i].edges == job.paths[i].edges;
-    for (std::size_t i = 0; ok && i < job.read_slots.size(); ++i)
-      ok = slot_serial[job.read_slots[i]] <= kWindowSerial;
-    benchmark::DoNotOptimize(ok);
-  });
-
-  // Inline side: the plan() call the hit replaces.
-  const double plan_rate = rate([&](const Job& job) {
-    Payment payment;
-    payment.src = job.src;
-    payment.dst = job.dst;
-    payment.total = job.amount;
-    Rng rng(0);
-    benchmark::DoNotOptimize(router.plan(payment, job.amount, network, rng));
-  });
-
-  const double overhead =
-      validate_rate > 0 ? plan_rate / validate_rate : 1.0;
-  Table table({"shard consume path", "jobs_per_sec", "cost_vs_plan"});
-  table.add_row({"validate (consume hit)", Table::num(validate_rate, 0),
-                 Table::num(overhead, 3)});
-  table.add_row({"plan inline (miss)", Table::num(plan_rate, 0),
-                 Table::num(1.0, 3)});
-  std::cout << "\nSharded consume overhead (15% budget vs inline plan):\n"
-            << table.render();
-  maybe_write_csv("micro_shard_consume", table);
-  if (overhead > 0.15)
-    std::cout << "WARNING: speculative-consume validation exceeds the 15% "
-                 "budget ("
-              << Table::num(overhead * 100, 1) << "% of an inline plan)\n";
-}
-
 /// Transport enqueue/mark guardrail: the RouterQueueBank accounting runs on
 /// the engine's per-chunk hot path in EVERY router-queue run (transport on
 /// or off — that is what keeps QueueDepthProbe truthful and transport-off
@@ -892,7 +784,6 @@ int main(int argc, char** argv) {
   spider::report_planner_throughput();
   spider::report_trace_parse_throughput();
   spider::report_generation_delta_lookup();
-  spider::report_shard_consume_overhead();
   spider::report_transport_mark_overhead();
   spider::report_quantile_selection();
   spider::report_edge_disjoint_kernel();

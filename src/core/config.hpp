@@ -68,12 +68,9 @@ struct SpiderConfig {
   /// Spider (LP): pure throughput (the paper) or two-stage max-min fairness
   /// (the §5.3/§6.2 fairness direction).
   LpObjective lp_objective = LpObjective::kThroughput;
-  /// Sharded single-run engine (core/shard.hpp): number of graph shards
-  /// whose planning work runs on parallel worker threads. 1 = the plain
-  /// serial engine. Any value yields byte-identical metrics (the
-  /// serial == sharded gate in tests/test_sharded.cpp); values beyond the
-  /// SPIDER_THREADS core budget share the available workers. Env knob:
-  /// SPIDER_SHARDS (core/scenario.hpp).
+  /// Fixed at 1; validate() rejects any other value. Kept only because
+  /// the frozen benchmark harness (perfbench/) sets and prints it; see
+  /// DESIGN.md "No sharded engine".
   int shards = 1;
   /// §4.1 AMP mode: make Spider's (normally non-atomic) schemes atomic —
   /// every payment is delivered in full at arrival or fails outright. Used

@@ -91,8 +91,8 @@ void maybe_write_windows_csv(const std::string& bench_name,
 [[nodiscard]] std::string env_string(const char* name,
                                      const std::string& fallback);
 
-/// The process-wide core budget that the ExperimentRunner pool, sharded
-/// runs and the candidate-path warm all size their threads from:
+/// The process-wide core budget that the ExperimentRunner pool and the
+/// candidate-path warm size their threads from:
 /// SPIDER_THREADS when set, else the CPUs this process may run on (its
 /// affinity mask, so taskset / cpuset limits are honoured), else the
 /// hardware concurrency. Always >= 1.

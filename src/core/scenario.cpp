@@ -21,7 +21,6 @@ ScenarioParams ScenarioParams::from_env() {
   params.nodes = static_cast<NodeId>(env_int("SPIDER_NODES", 0));
   params.lp_max_pairs = env_int("SPIDER_LP_MAX_PAIRS", 0);
   params.paths_k = env_int("SPIDER_PATHS_K", 0);
-  params.shards = env_int("SPIDER_SHARDS", 0);
   params.topology_seed =
       static_cast<std::uint64_t>(env_int("SPIDER_SEED", 0));
   params.traffic_seed =
@@ -108,8 +107,8 @@ void apply_cross_knobs(SpiderConfig& config, const ScenarioParams& p) {
 }
 
 /// Finishes a scenario: synthesizes the trace over `graph` with `sizes`,
-/// applying the cross-scenario knobs (SPIDER_PATHS_K, SPIDER_SHARDS, the
-/// retry/fault overrides) to the config.
+/// applying the cross-scenario knobs (SPIDER_PATHS_K, the retry/fault
+/// overrides) to the config.
 ScenarioInstance materialize(std::string name, Graph graph,
                              SpiderConfig config, const Resolved& r,
                              const SizeDistribution& sizes,

@@ -1,7 +1,5 @@
 #include "core/session.hpp"
 
-#include "core/shard.hpp"
-
 namespace spider {
 
 namespace {
@@ -39,10 +37,6 @@ struct SimSession::State {
   std::vector<TopologyChange> churn;
   // The growing fault-event stream, same contract as `churn`.
   std::vector<FaultEvent> faults;
-  // Sharded-engine runtime (config.shards > 1 only). Declared after the
-  // members it observes and destroyed first, so its worker threads are
-  // joined while the network/simulator they reference still exist.
-  std::unique_ptr<ShardExecutor> executor;
 
   State(const Graph& topology, const SpiderConfig& cfg, Scheme s,
         const SessionOptions& options, const PathCache* shared_paths)
@@ -57,14 +51,6 @@ struct SimSession::State {
     sim.begin(trace);
     sim.begin_topology(churn);
     sim.begin_faults(faults);
-    if (config.shards > 1) {
-      executor = std::make_unique<ShardExecutor>(
-          topology, config, scheme, shared_paths, options.demand_hint,
-          config.shards);
-      executor->bind(network, *router);
-      network.set_balance_listener(executor.get());
-      sim.set_speculator(executor.get());
-    }
   }
 };
 
@@ -218,9 +204,5 @@ Network& SimSession::network() {
 }
 
 const Network& SimSession::network() const { return state_->network; }
-
-const ShardExecutor* SimSession::shard_executor() const {
-  return state_->executor.get();
-}
 
 }  // namespace spider

@@ -43,8 +43,6 @@
 
 namespace spider {
 
-class ShardExecutor;
-
 /// Knobs beyond (scheme, seed) a session can be created with.
 struct SessionOptions {
   /// Metrics-window length for the observer pipeline's on_window_roll
@@ -168,12 +166,6 @@ class SimSession {
   /// expressed as a scheduled change.
   [[nodiscard]] Network& network();
   [[nodiscard]] const Network& network() const;
-
-  /// The sharded-engine runtime, or nullptr for serial sessions
-  /// (config.shards == 1). Exposes speculation statistics (hit/miss
-  /// breakdown, window and job counts) and the graph partition — the
-  /// observability surface tests and benches read.
-  [[nodiscard]] const ShardExecutor* shard_executor() const;
 
  private:
   struct State;

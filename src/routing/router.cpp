@@ -9,11 +9,6 @@ void Router::init(const Network&, const RouterInitContext&) {}
 
 void Router::on_tick(const Network&, TimePoint) {}
 
-std::span<const Path> Router::plan_read_paths(NodeId, NodeId,
-                                              const Network&) {
-  return {};
-}
-
 void Router::bind_transport(const RouterQueueBank*) {}
 
 void Router::on_transport_clock(TimePoint) {}

@@ -55,22 +55,6 @@ struct RouterInitContext {
   const PathCache* shared_paths = nullptr;
 };
 
-/// What the sharded engine (core/shard.hpp) may precompute off-thread for
-/// a scheme. kCandidatePaths is a contract the router opts into:
-///
-///   plan(payment, amount, network, rng) must be a pure function of
-///   (payment.src, payment.dst, amount, the candidate paths
-///   plan_read_paths(src, dst, network) returns, and the sender-side
-///   spendable balance at every hop of those paths). It must draw nothing
-///   from the rng, keep no plan-to-plan mutable state that alters results,
-///   and every ChunkPlan::path it returns must point into the
-///   plan_read_paths span.
-///
-/// Schemes that cannot promise this return kNone; the sharded run then
-/// plans them inline on the commit thread (still byte-identical to serial,
-/// just without planning parallelism for that scheme).
-enum class PlanSpeculation { kNone, kCandidatePaths };
-
 class RouterQueueBank;
 
 class Router {
@@ -94,29 +78,12 @@ class Router {
   /// the primal–dual extension; no-op otherwise).
   virtual void on_tick(const Network& network, TimePoint now);
 
-  /// Whether (and how) plan() may be speculated off-thread; see
-  /// PlanSpeculation. Default: no speculation.
-  [[nodiscard]] virtual PlanSpeculation plan_speculation() const {
-    return PlanSpeculation::kNone;
-  }
-
-  /// kCandidatePaths schemes: the exact candidate-path set the next
-  /// plan(src -> dst) call would allocate over, under `network`'s current
-  /// topology generation (same span-lifetime rule as CandidatePaths::
-  /// paths — consume before the next lookup). Other schemes return empty.
-  /// The sharded commit thread compares this against the path set a
-  /// speculative plan was computed over; the worker side calls it on the
-  /// replica to record the plan's read set.
-  [[nodiscard]] virtual std::span<const Path> plan_read_paths(
-      NodeId src, NodeId dst, const Network& network);
-
   // --- Transport-layer feedback (src/transport/) -------------------------
   //
   // The simulator drives these on the commit thread, in event order, and
   // only when SimConfig::transport.enabled — fluid schemes inherit the
   // no-op defaults and never see them. A windowed router (spider-dctcp,
-  // backpressure) keeps mutable per-path state behind these hooks, which is
-  // exactly why such schemes must report PlanSpeculation::kNone: their
+  // backpressure) keeps mutable per-path state behind these hooks: its
   // plans depend on feedback that arrives between polls.
 
   /// Read-only view of the per-channel router queues, bound once per run

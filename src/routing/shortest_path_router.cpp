@@ -12,12 +12,6 @@ void ShortestPathRouter::init(const Network& network,
               context.shared_paths);
 }
 
-std::span<const Path> ShortestPathRouter::plan_read_paths(
-    NodeId src, NodeId dst, const Network& network) {
-  paths_.sync(network.topology_generation());
-  return paths_.paths(src, dst);
-}
-
 std::vector<ChunkPlan> ShortestPathRouter::plan(const Payment& payment,
                                                 Amount amount,
                                                 const Network& network,

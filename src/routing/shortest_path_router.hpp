@@ -23,15 +23,6 @@ class ShortestPathRouter final : public Router {
                                             const Network& network,
                                             Rng& rng) override;
 
-  /// One candidate path, amount clamped to its sender-side bottleneck,
-  /// nothing drawn from the rng — the kCandidatePaths purity contract
-  /// holds, so sharded runs speculate this baseline too.
-  [[nodiscard]] PlanSpeculation plan_speculation() const override {
-    return PlanSpeculation::kCandidatePaths;
-  }
-  [[nodiscard]] std::span<const Path> plan_read_paths(
-      NodeId src, NodeId dst, const Network& network) override;
-
  private:
   CandidatePaths paths_;  // shared warmed store when available, else lazy
 };

@@ -62,12 +62,6 @@ void WaterfillingRouter::init(const Network& network,
   paths_.init(network.graph(), num_paths_, selection_, context.shared_paths);
 }
 
-std::span<const Path> WaterfillingRouter::plan_read_paths(
-    NodeId src, NodeId dst, const Network& network) {
-  paths_.sync(network.topology_generation());
-  return paths_.paths(src, dst);
-}
-
 std::vector<ChunkPlan> WaterfillingRouter::plan(const Payment& payment,
                                                 Amount amount,
                                                 const Network& network,

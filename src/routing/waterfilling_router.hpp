@@ -39,16 +39,6 @@ class WaterfillingRouter final : public Router {
                                             const Network& network,
                                             Rng& rng) override;
 
-  /// Waterfilling is a pure function of (candidate paths, sender-side
-  /// balances along them, amount) and never draws from the rng — the
-  /// kCandidatePaths contract (routing/router.hpp), so sharded runs can
-  /// precompute its plans off-thread.
-  [[nodiscard]] PlanSpeculation plan_speculation() const override {
-    return PlanSpeculation::kCandidatePaths;
-  }
-  [[nodiscard]] std::span<const Path> plan_read_paths(
-      NodeId src, NodeId dst, const Network& network) override;
-
  private:
   int num_paths_;
   PathSelection selection_;

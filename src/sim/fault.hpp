@@ -6,9 +6,9 @@
 // EventQueue exactly like PR 4's kTopology events: one kFault event is
 // scheduled at a time, and applying event i schedules event i+1. Zero-fault
 // runs never allocate or draw anything here, so they stay byte-identical to
-// the pre-fault engine; faulted runs are reproducible at any shard count
-// because every Bernoulli draw happens on the commit thread, in event
-// order, from per-channel streams seeded by (fault seed, edge id) alone.
+// the pre-fault engine; faulted runs are reproducible because every
+// Bernoulli draw happens in event order, from per-channel streams seeded by
+// (fault seed, edge id) alone.
 //
 // FaultState is the runtime side: which nodes are down (with an epoch
 // counter so a stall's auto-recovery can be invalidated by a later crash),
@@ -67,9 +67,8 @@ struct FaultEvent {
 [[nodiscard]] const char* fault_kind_name(FaultEvent::Kind kind);
 
 /// Runtime fault tables, owned by the Simulator and reset by begin().
-/// All mutation happens on the commit thread while applying events, so the
-/// sharded engine needs no mirror of this state (routers are deliberately
-/// fault-oblivious; the Simulator filters their plans at commit time).
+/// All mutation happens while applying events; routers are deliberately
+/// fault-oblivious (the Simulator filters their plans at commit time).
 class FaultState {
  public:
   /// Resets every table for a run over `num_nodes` nodes and `num_edges`

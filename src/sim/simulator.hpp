@@ -31,7 +31,6 @@
 #include "sim/observer.hpp"
 #include "sim/payment.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/speculation.hpp"
 #include "transport/router_queue.hpp"
 #include "workload/traffic.hpp"
 
@@ -108,14 +107,6 @@ struct SimConfig {
   /// 0 = derive from `seed`, so faulted runs are reproducible without
   /// configuring anything extra.
   std::uint64_t fault_seed = 0;
-
-  /// Sharded-run lookahead: the window length the event loop batches
-  /// speculative planning over when a SpeculativePlanner is attached
-  /// (core/shard.hpp). 0 = auto: the minimum cross-shard hop delay of the
-  /// queueing mode (hop_delay in router-queue mode, Δ in source-queue
-  /// mode), further capped by the transport pace interval when pacing is
-  /// on. Irrelevant — and ignored — without a planner.
-  Duration shard_lookahead = 0;
 
   /// Transport layer (src/transport/): one-bit delay marking over the
   /// router queues plus the sender-side pace tick. Off by default —
@@ -230,18 +221,6 @@ class Simulator {
   /// Windows are anchored at t = 0. Set before the first event.
   void set_metrics_window(Duration window);
 
-  /// Attaches the sharded engine's speculative planner (sim/
-  /// speculation.hpp); nullptr detaches. With a planner attached the event
-  /// loop runs in lookahead windows: each window's candidate plans are
-  /// dispatched to the planner up front, events commit serially in the
-  /// exact (time, seq) order of the plain loop, and attempt() consumes a
-  /// precomputed plan whenever the planner proves it fresh — so metrics
-  /// stay byte-identical to the serial run. Set before the first event,
-  /// and pair with Network::set_balance_listener on the same network.
-  void set_speculator(SpeculativePlanner* speculator) {
-    speculator_ = speculator;
-  }
-
   /// Payment table after run() — tests inspect per-payment outcomes.
   [[nodiscard]] const std::vector<Payment>& payments() const {
     return payments_;
@@ -300,17 +279,8 @@ class Simulator {
   /// Pops and dispatches one event, rolling windows the clock crosses.
   void process_next();
   /// The shared inner loop of advance_until/drain: processes every event
-  /// with time <= horizon. Without a speculator this is the plain serial
-  /// loop; with one it proceeds in lookahead windows (open_shard_window,
-  /// commit the window's events serially, close_window barrier).
+  /// with time <= horizon.
   std::size_t run_events_until(TimePoint horizon);
-  /// Effective lookahead (config_.shard_lookahead, or the queueing mode's
-  /// minimum hop delay when auto).
-  [[nodiscard]] Duration shard_lookahead() const;
-  /// Enumerates the plans the window (start, end] may request — upcoming
-  /// trace arrivals in the window plus every pending payment a poll round
-  /// would retry — and opens the planner window over them.
-  void open_shard_window(TimePoint end);
   /// Schedules the next unscheduled arrival (and the initial rebalance
   /// tick) if the chain ran dry and the trace has more payments.
   void sync_arrival_chain();
@@ -424,8 +394,6 @@ class Simulator {
   Router* router_;
   SimConfig config_;
   Rng rng_;
-  SpeculativePlanner* speculator_ = nullptr;  // sharded runs only
-  std::vector<SpecJob> spec_jobs_;            // per-window scratch, reused
 
   /// The injected event loop: owns ordering and the clock.
   const std::vector<PaymentSpec>* trace_ = nullptr;

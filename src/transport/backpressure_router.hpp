@@ -19,8 +19,8 @@
 // the scheme; with the bank unbound (source-queue mode) it degenerates to
 // bottleneck-clamped shortest-first and stays correct.
 //
-// PlanSpeculation::kNone: plans read live queue depths that change with
-// every served chunk between polls.
+// Plans read live queue depths that change with every served chunk between
+// polls.
 #pragma once
 
 #include "routing/path_cache.hpp"
@@ -44,9 +44,6 @@ class BackpressureRouter final : public Router {
                                             Amount amount,
                                             const Network& network,
                                             Rng& rng) override;
-
-  [[nodiscard]] std::span<const Path> plan_read_paths(
-      NodeId src, NodeId dst, const Network& network) override;
 
   void bind_transport(const RouterQueueBank* queues) override {
     queues_ = queues;

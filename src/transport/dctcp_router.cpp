@@ -15,12 +15,6 @@ void SpiderDctcpRouter::init(const Network& network,
   paths_.init(network.graph(), num_paths_, selection_, context.shared_paths);
 }
 
-std::span<const Path> SpiderDctcpRouter::plan_read_paths(
-    NodeId src, NodeId dst, const Network& network) {
-  paths_.sync(network.topology_generation());
-  return paths_.paths(src, dst);
-}
-
 std::vector<ChunkPlan> SpiderDctcpRouter::plan(const Payment& payment,
                                                Amount amount,
                                                const Network& network, Rng&) {

@@ -14,10 +14,8 @@
 // whole-path bottleneck and the controller degrades to window-paced
 // bottleneck routing.
 //
-// Non-atomic, and deliberately PlanSpeculation::kNone: plans depend on
-// mutable window/pacer state that moves with every ack between polls, so
-// the kCandidatePaths purity contract cannot hold. Sharded runs plan this
-// scheme inline on the commit thread — still byte-identical to serial.
+// Non-atomic. Plans depend on mutable window/pacer state that moves with
+// every ack between polls.
 #pragma once
 
 #include "routing/path_cache.hpp"
@@ -42,9 +40,6 @@ class SpiderDctcpRouter final : public Router {
                                             Amount amount,
                                             const Network& network,
                                             Rng& rng) override;
-
-  [[nodiscard]] std::span<const Path> plan_read_paths(
-      NodeId src, NodeId dst, const Network& network) override;
 
   void bind_transport(const RouterQueueBank* queues) override {
     queues_ = queues;

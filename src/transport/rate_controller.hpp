@@ -16,8 +16,8 @@
 //
 // Everything here is integer arithmetic over the engine's microsecond clock
 // and milli-XRP amounts — no floating-point state, no randomness — so the
-// controller is bit-deterministic and safe inside the serial==sharded and
-// streamed==batch identity contracts.
+// controller is bit-deterministic and safe inside the streamed==batch
+// identity contract.
 #pragma once
 
 #include <cstdint>

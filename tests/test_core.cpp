@@ -101,6 +101,12 @@ TEST(ConfigValidation, RejectsBadValues) {
     c.primal_dual.bucket_depth = 0;
     EXPECT_THROW(c.validate(), std::invalid_argument);
   }
+  // shards is fixed at 1.
+  for (const int shards : {0, 2}) {
+    SpiderConfig c;
+    c.shards = shards;
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+  }
 }
 
 TEST(SpiderNetwork, ConstructionValidates) {

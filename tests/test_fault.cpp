@@ -1,7 +1,6 @@
 // Fault-injection tests: zero-fault byte-identity with the pre-fault
-// engine, determinism of faulted runs across every scheme, serial ==
-// sharded identity under a mixed fault schedule in both queueing modes,
-// escrow conservation through crash/recover storms (ConservationAuditor),
+// engine, determinism of faulted runs across every scheme, escrow
+// conservation through crash/recover storms (ConservationAuditor),
 // the per-cause failure-count invariant, sender retry/backoff/deadline
 // semantics, fault-schedule generation, and the strict fault CSV
 // round-trip.
@@ -43,17 +42,6 @@ std::vector<FaultEvent> mixed_schedule(const Graph& graph) {
   faults.push_back(FaultEvent::loss(milliseconds(900), 5, 0.0));
   validate_fault_targets(faults, graph.num_nodes(), graph.num_edges());
   return faults;
-}
-
-SimMetrics run_with_shards(const ScenarioInstance& scenario, Scheme scheme,
-                           int shards, const std::vector<FaultEvent>& faults,
-                           QueueingMode queueing = QueueingMode::kSourceQueue,
-                           std::uint64_t seed = 7) {
-  SpiderConfig config = scenario.config;
-  config.shards = shards;
-  config.sim.queueing = queueing;
-  const SpiderNetwork net(scenario.graph, config);
-  return net.run(scheme, scenario.trace, seed, {}, faults);
 }
 
 // --- Zero-fault byte-identity -----------------------------------------
@@ -135,36 +123,6 @@ TEST(FaultInjection, SubmitFaultsRejectsOutOfOrderAndPastEvents) {
   EXPECT_THROW(session.submit_faults(FaultEvent::crash(seconds(1.5), 2)),
                AssertionError);
   (void)session.drain();
-}
-
-// --- Serial == sharded under faults -----------------------------------
-
-TEST(FaultInjection, ShardedMatchesSerialForEverySchemeUnderFaults) {
-  const ScenarioInstance scenario = small_isp(600, 33);
-  const std::vector<FaultEvent> faults = mixed_schedule(scenario.graph);
-  for (const Scheme scheme : all_schemes()) {
-    SCOPED_TRACE(scheme_name(scheme));
-    const SimMetrics serial = run_with_shards(scenario, scheme, 1, faults);
-    EXPECT_EQ(serial.faults_injected,
-              static_cast<std::int64_t>(faults.size()));
-    expect_identical_metrics(serial,
-                             run_with_shards(scenario, scheme, 4, faults));
-  }
-}
-
-TEST(FaultInjection, ShardedMatchesSerialInRouterQueueModeUnderFaults) {
-  const ScenarioInstance scenario = small_isp(600, 33);
-  const std::vector<FaultEvent> faults = mixed_schedule(scenario.graph);
-  for (const Scheme scheme :
-       {Scheme::kSpiderWaterfilling, Scheme::kSpiderLp,
-        Scheme::kShortestPath, Scheme::kSpiderPrimalDual}) {
-    SCOPED_TRACE(scheme_name(scheme));
-    const SimMetrics serial = run_with_shards(
-        scenario, scheme, 1, faults, QueueingMode::kRouterQueue);
-    expect_identical_metrics(
-        serial, run_with_shards(scenario, scheme, 4, faults,
-                                QueueingMode::kRouterQueue));
-  }
 }
 
 // --- Conservation under fault storms ----------------------------------

@@ -1,11 +1,8 @@
 // Transport-layer gates (src/transport/): controller unit behaviour,
-// transport-off byte identity with the pre-transport engine, serial ==
-// sharded and streamed == batch with the transport ON across both queue
-// modes and both new schemes, AIMD convergence on a two-path dumbbell, and
-// mark/ack ordering under fault-injected loss.
-//
-// Sharded fixtures are named TransportSharded.* so the TSan CI job's
-// --gtest_filter picks them up with the other cross-thread suites.
+// transport-off byte identity with the pre-transport engine, streamed ==
+// batch with the transport ON across both queue modes and both new
+// schemes, AIMD convergence on a two-path dumbbell, and mark/ack ordering
+// under fault-injected loss.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,14 +21,6 @@ ScenarioInstance small_isp(int payments = 600) {
   params.payments = payments;
   params.traffic_seed = 33;
   return build_scenario("isp", params);
-}
-
-SimMetrics run_with_shards(const ScenarioInstance& scenario, Scheme scheme,
-                           int shards, std::uint64_t seed = 7) {
-  SpiderConfig config = scenario.config;
-  config.shards = shards;
-  const SpiderNetwork net(scenario.graph, config);
-  return net.run(scheme, scenario.trace, seed);
 }
 
 /// The streaming pattern of test_session.cpp: three arrival-ordered spans
@@ -155,48 +144,6 @@ TEST(Transport, DisabledTransportIsInert) {
 }
 
 // --- Transport on: the engine-identity contracts still hold -------------
-
-TEST(TransportSharded, SerialMatchesShardedWithTransportOn) {
-  ScenarioInstance scenario = small_isp();
-  scenario.config.sim.transport.enabled = true;
-  for (const QueueingMode mode :
-       {QueueingMode::kSourceQueue, QueueingMode::kRouterQueue}) {
-    SCOPED_TRACE(mode == QueueingMode::kSourceQueue ? "source" : "router");
-    scenario.config.sim.queueing = mode;
-    const SimMetrics serial =
-        run_with_shards(scenario, Scheme::kSpiderWaterfilling, 1);
-    for (const int shards : {2, 4}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      expect_identical_metrics(
-          serial,
-          run_with_shards(scenario, Scheme::kSpiderWaterfilling, shards));
-    }
-  }
-}
-
-TEST(TransportSharded, SerialMatchesShardedForNewSchemes) {
-  ScenarioInstance scenario = small_isp();
-  for (const Scheme scheme :
-       {Scheme::kSpiderDctcp, Scheme::kBackpressure}) {
-    for (const QueueingMode mode :
-         {QueueingMode::kSourceQueue, QueueingMode::kRouterQueue}) {
-      SCOPED_TRACE(scheme_name(scheme) +
-                   std::string(mode == QueueingMode::kSourceQueue
-                                   ? "/source"
-                                   : "/router"));
-      scenario.config.sim.queueing = mode;
-      // Enable explicitly so the session's auto-default does not flip the
-      // source-queue sweep over to router-queue mode.
-      scenario.config.sim.transport.enabled = true;
-      const SimMetrics serial = run_with_shards(scenario, scheme, 1);
-      for (const int shards : {2, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        expect_identical_metrics(serial,
-                                 run_with_shards(scenario, scheme, shards));
-      }
-    }
-  }
-}
 
 TEST(Transport, StreamedMatchesBatchWithTransportOn) {
   ScenarioInstance scenario = small_isp();

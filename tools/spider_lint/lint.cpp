@@ -285,7 +285,7 @@ bool path_contains(const std::string& path, const char* needle) {
 }
 
 /// Determinism-surface scope: the engine layers whose event order and hash
-/// iteration feed the serial==sharded / streamed==batch identity gates.
+/// iteration feed the same-seed / streamed==batch identity gates.
 bool in_determinism_scope(const std::string& path) {
   return path_contains(path, "src/sim/") || path_contains(path, "src/core/") ||
          path_contains(path, "src/transport/") ||
@@ -556,7 +556,7 @@ void rule_determinism(FileScan& f, const Context& ctx,
     }
     // Range-for over an identifier declared as an unordered container:
     // iteration order is hash-seed / libstdc++-version dependent, which
-    // breaks the serial==sharded and cross-host identity gates.
+    // breaks the same-seed and cross-host identity gates.
     if (s == "for" && i + 1 < t.size() && t[i + 1].text == "(") {
       const std::size_t close = match_close(t, i + 1);
       std::size_t colon = 0;

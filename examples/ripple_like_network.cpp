@@ -19,9 +19,7 @@ int main(int argc, char** argv) {
   const int capacity = argc > 3 ? std::stoi(argv[3]) : 3000;
 
   const Graph graph = ripple_like_topology(nodes, xrp(capacity), 7);
-  SpiderConfig config;
-  config.lp_max_pairs = 900;  // keep the offline LP tractable at this scale
-  const SpiderNetwork network(graph, config);
+  const SpiderNetwork network(graph, SpiderConfig{});
 
   const auto sizes = ripple_subgraph_sizes();
   TrafficConfig traffic;

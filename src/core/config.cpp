@@ -76,7 +76,7 @@ std::vector<Scheme> all_schemes() {
 
 bool scheme_uses_path_store(Scheme scheme) {
   return scheme == Scheme::kSpiderWaterfilling ||
-         scheme == Scheme::kShortestPath ||
+         scheme == Scheme::kShortestPath || scheme == Scheme::kSpiderLp ||
          scheme == Scheme::kSpiderDctcp ||
          scheme == Scheme::kBackpressure;
 }

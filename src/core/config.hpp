@@ -52,8 +52,9 @@ enum class Scheme {
 
 /// True if `scheme`'s router consumes the shared candidate-path store
 /// (RouterInitContext::shared_paths) — the schemes that plan over cached
-/// Yen / edge-disjoint candidates. SpiderNetwork::run only pays the warm
-/// pass for these; the rest (max-flow, embeddings, landmarks, LP) compute
+/// Yen / edge-disjoint candidates, and Spider (LP), which models the
+/// edge-disjoint ones. SpiderNetwork::run only pays the warm pass for
+/// these; the rest (max-flow, embeddings, landmarks, primal–dual) compute
 /// their own routes and would never read the store.
 [[nodiscard]] bool scheme_uses_path_store(Scheme scheme);
 

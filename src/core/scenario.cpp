@@ -148,8 +148,9 @@ ScenarioRegistry::ScenarioRegistry() {
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
         SpiderConfig config;
-        // Keep the dense offline LP tractable at Ripple-scale pair counts.
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
+        // Spider (LP) models every demand pair (~1800 at the defaults), so
+        // its success volume can reach the circulation fraction (§6.2).
+        config.lp_max_pairs = p.lp_max_pairs;
         return materialize("ripple-like", std::move(graph), config, r,
                            *ripple_subgraph_sizes(), p);
       });
@@ -162,8 +163,9 @@ ScenarioRegistry::ScenarioRegistry() {
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
         SpiderConfig config;
-        // Same LP pair cap as ripple-like: the dense offline simplex cannot
-        // model millions of demand pairs.
+        // Spider (LP) models only the 900 largest demand pairs: a
+        // paper-scale trace has far more pairs than any simplex here can
+        // model.
         config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
         return materialize("ripple-full", std::move(graph), config, r,
                            *ripple_subgraph_sizes(), p);
@@ -180,8 +182,7 @@ ScenarioRegistry::ScenarioRegistry() {
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
         SpiderConfig config;
-        // Same LP pair cap as ripple-like (dense offline simplex limit).
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
+        config.lp_max_pairs = p.lp_max_pairs;  // every pair, as ripple-like
         apply_cross_knobs(config, p);
 
         // Piecewise-rate trace: each phase draws from its own generator
@@ -259,8 +260,7 @@ ScenarioRegistry::ScenarioRegistry() {
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
         SpiderConfig config;
-        // Same LP pair cap as ripple-like (dense offline simplex limit).
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
+        config.lp_max_pairs = p.lp_max_pairs;  // every pair, as ripple-like
         ScenarioInstance instance =
             materialize("partition-heal", std::move(graph), config, r,
                         *ripple_subgraph_sizes(), p);
@@ -290,7 +290,9 @@ ScenarioRegistry::ScenarioRegistry() {
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
         SpiderConfig config;
-        // Same LP pair cap as ripple-like (dense offline simplex limit).
+        // Spider (LP) keeps its historical 900-pair cap on the attack
+        // scenarios, so their BENCH_throughput.json rows stay comparable
+        // across solver changes; ripple-like shows the uncapped LP.
         config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
         ScenarioInstance instance =
             materialize("hub-drain", std::move(graph), config, r,
@@ -347,7 +349,9 @@ ScenarioRegistry::ScenarioRegistry() {
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
         SpiderConfig config;
-        // Same LP pair cap as ripple-like (dense offline simplex limit).
+        // Spider (LP) keeps its historical 900-pair cap on the attack
+        // scenarios, so their BENCH_throughput.json rows stay comparable
+        // across solver changes; ripple-like shows the uncapped LP.
         config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
         ScenarioInstance instance =
             materialize("griefing", std::move(graph), config, r,
@@ -430,8 +434,9 @@ ScenarioRegistry::ScenarioRegistry() {
         validate_trace_nodes(instance.trace.data(), instance.trace.size(),
                              instance.graph.num_nodes());
         SpiderConfig config;
-        // Imported snapshots can be Ripple-scale; cap the dense offline LP
-        // the same way the ripple-like scenarios do.
+        // Imported snapshots can be Ripple-scale, with far more demand
+        // pairs than any simplex here can model: Spider (LP) models only
+        // the 900 largest, as on ripple-full.
         config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
         apply_cross_knobs(config, p);
         instance.config = config;

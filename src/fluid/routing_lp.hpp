@@ -77,10 +77,14 @@ class RoutingLp {
   /// connected path is guaranteed a positive rate whenever t* > 0.
   [[nodiscard]] FluidSolution solve_max_min_balanced() const;
 
+  /// The LP solve_balanced() solves, eqs. (1)–(5): x_p variables in pair
+  /// order, then demand, capacity and balance rows. For checking solvers
+  /// against the production model.
+  [[nodiscard]] LpModel balanced_model() const;
+
   [[nodiscard]] const std::vector<PairPaths>& pairs() const { return pairs_; }
 
  private:
-  struct Built;
   [[nodiscard]] FluidSolution solve_impl(bool with_rebalancing, double gamma,
                                          double bound) const;
 

@@ -1,21 +1,32 @@
-// Two-phase dense tableau simplex.
+// Two-phase sparse revised simplex.
 //
 // Why hand-rolled: the reproduction must be self-contained (no external
-// solver), and the paper's LPs are small/medium dense problems. The solver
-// maximizes, treats all variables as >= 0, supports <=, >= and == rows, and
-// guards against cycling on the heavily degenerate balance constraints
-// (rows with rhs 0) by switching from Dantzig's rule to Bland's rule after a
-// fixed number of pivots.
+// solver). The paper's LPs are large and very sparse — the ISP routing LP
+// has ~2.3k path variables over ~1k rows with ~20k nonzeros, each path
+// touching only its own hops' rows — so the solver never forms a tableau.
+// It keeps the constraint matrix column-compressed, the current basic
+// values, and the basis inverse as a product-form eta file: each iteration
+// computes the duals with one backward solve (y = c_B B⁻¹), prices the
+// nonbasic columns over their nonzeros (Dantzig's rule), and gets the
+// entering column with one forward solve. The eta file is rebuilt from the
+// basis columns every kRefactorEvery pivots, which also recomputes the
+// basic values from the rhs and sheds accumulated drift.
 //
-// Numerical guards: pivots below `pivot_tol` are avoided whenever a sturdier
-// element is available (pivoting on a ~eps entry scales the row by ~1/eps
-// and wrecks the tableau), the reduced-cost row is recomputed from the true
-// costs every `rebuild_every` pivots to shed accumulated drift, and a phase
-// whose objective makes no progress for `stall_after` consecutive pivots
-// exits with its current basis instead of grinding to the iteration limit.
-// Phase-2 iterates are always primal feasible, so a stalled exit still
-// returns a usable (if possibly suboptimal) solution — flagged via
-// LpSolution::stalled.
+// The solver maximizes, treats all variables as >= 0, and supports <=, >=
+// and == rows; rows with a >=/== sense (after normalizing rhs >= 0) start
+// on artificial columns that phase 1 drives to zero. It guards against
+// cycling on the heavily degenerate balance constraints (rows with rhs 0)
+// by breaking ratio-test ties toward the largest basis index (a slack
+// leaves before a structural column) and switching from Dantzig's rule to
+// Bland's rule after `bland_after` pivots.
+// Pivots below `pivot_tol` are avoided whenever a sturdier element is
+// available (pivoting on a ~eps entry scales the basis inverse by ~1/eps).
+//
+// Degenerate LPs have many optimal vertices; which one is returned depends
+// on the pivoting order, so only the objective (and feasibility) of a
+// solution is stable across solver changes, not the individual x values.
+// The solver is single-threaded and deterministic: one model always
+// yields the same x.
 #pragma once
 
 #include <vector>
@@ -31,12 +42,10 @@ struct LpSolution {
   double objective = 0.0;
   std::vector<double> x;  // primal values, one per model variable
   long iterations = 0;
-  /// Phase 2 exited early because the objective stopped improving (heavy
-  /// degeneracy). x is still primal feasible, but may be suboptimal.
-  bool stalled = false;
 };
 
 struct SimplexOptions {
+  /// Pivot budget per phase; exceeding it returns kIterationLimit.
   long max_iterations = 500'000;
   /// Pivot/feasibility tolerance.
   double eps = 1e-9;
@@ -45,16 +54,10 @@ struct SimplexOptions {
   /// Preferred minimum pivot magnitude; entries in (eps, pivot_tol] are
   /// used only when a column offers nothing sturdier.
   double pivot_tol = 1e-7;
-  /// Recompute the reduced-cost row from the true costs every this many
-  /// pivots (incremental updates accumulate floating-point drift).
-  long rebuild_every = 512;
-  /// Give up on a phase after this many consecutive pivots without
-  /// objective progress; phase 2 keeps its current feasible basis.
-  long stall_after = 20'000;
 };
 
 /// Solves `model`. On kOptimal the returned x is feasible to within ~eps and
-/// optimal; on kUnbounded/kInfeasible x is meaningless.
+/// optimal; on kUnbounded/kInfeasible/kIterationLimit x is empty.
 [[nodiscard]] LpSolution solve_lp(const LpModel& model,
                                   const SimplexOptions& options = {});
 

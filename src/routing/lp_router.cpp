@@ -35,8 +35,20 @@ void LpRouter::init(const Network& network,
     }
   }
 
-  const RoutingLp lp = RoutingLp::with_disjoint_paths(
-      network.graph(), demands, context.delta_seconds, num_paths_);
+  // k edge-disjoint shortest paths per pair (§6.1), from the shared warmed
+  // store when it holds them, searched here otherwise.
+  CandidatePaths candidates;
+  candidates.init(network.graph(), num_paths_, PathSelection::kEdgeDisjoint,
+                  context.shared_paths);
+  std::vector<PairPaths> pairs;
+  pairs.reserve(demands.edges().size());
+  for (const DemandEdge& d : demands.edges()) {
+    const std::span<const Path> found = candidates.paths(d.src, d.dst);
+    pairs.push_back(
+        PairPaths{d.src, d.dst, d.rate, {found.begin(), found.end()}});
+  }
+  const RoutingLp lp(network.graph(), std::move(pairs),
+                     context.delta_seconds);
   const FluidSolution solution = objective_ == LpObjective::kThroughput
                                      ? lp.solve_balanced()
                                      : lp.solve_max_min_balanced();
@@ -62,6 +74,12 @@ void LpRouter::init(const Network& network,
     }
     pair_plans_[{pp.src, pp.dst}] = std::move(plan);
   }
+}
+
+std::span<const Path> LpRouter::pair_paths(NodeId src, NodeId dst) const {
+  const auto it = pair_plans_.find({src, dst});
+  if (it == pair_plans_.end()) return {};
+  return it->second.paths;
 }
 
 std::vector<ChunkPlan> LpRouter::plan(const Payment& payment, Amount amount,

@@ -3,6 +3,9 @@
 // Solves the balanced-routing LP (eqs. 1–5) ONCE, from the long-term demand
 // matrix estimated over the whole trace, on the same 4 edge-disjoint paths
 // per pair — then uses the optimal path rates as fixed splitting weights.
+// The paths are read from the shared warmed candidate-path store when the
+// session has one (the store every path-based scheme reads), so the LP
+// models exactly the candidates the other schemes route over.
 //
 // Two consequences the paper reports are reproduced deliberately:
 //   - pairs to which the LP assigns zero total rate are never attempted
@@ -13,6 +16,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 
 #include "fluid/routing_lp.hpp"
 #include "routing/path_cache.hpp"
@@ -35,9 +39,10 @@ class LpRouter final : public Router {
  public:
   /// `max_pairs` caps the number of demand pairs the offline LP models
   /// (0 = unlimited): pairs are ranked by demand and the tail is dropped,
-  /// i.e. treated exactly like the pairs the LP itself zeroes out. This
-  /// keeps the dense simplex tractable on Ripple-scale pair counts; the ISP
-  /// topology's ~1000 pairs fit without truncation.
+  /// i.e. treated exactly like the pairs the LP itself zeroes out. The
+  /// ISP topology's ~1000 pairs and the 60-node ripple-like's ~1800 solve
+  /// uncapped; paper-scale Ripple traces have far more pairs than any
+  /// simplex here can model.
   explicit LpRouter(int num_paths = 4, int max_pairs = 0,
                     LpObjective objective = LpObjective::kThroughput);
 
@@ -61,6 +66,10 @@ class LpRouter final : public Router {
   [[nodiscard]] double fair_fraction() const { return fair_fraction_; }
   /// Number of demand pairs whose LP weights are all zero (never attempted).
   [[nodiscard]] int zero_weight_pairs() const { return zero_weight_pairs_; }
+  /// The candidate paths the LP modeled for (src, dst); empty if the pair
+  /// was not modeled.
+  [[nodiscard]] std::span<const Path> pair_paths(NodeId src,
+                                                 NodeId dst) const;
 
  private:
   struct PairPlan {

@@ -2,6 +2,9 @@
 // where the right answer is known.
 #include <gtest/gtest.h>
 
+#include "core/scenario.hpp"
+#include "core/spider.hpp"
+#include "graph/ksp.hpp"
 #include "routing/landmark_router.hpp"
 #include "routing/lp_router.hpp"
 #include "routing/maxflow_router.hpp"
@@ -12,6 +15,7 @@
 #include "routing/waterfilling_router.hpp"
 #include "sim/simulator.hpp"
 #include "topology/topology.hpp"
+#include "workload/traffic.hpp"
 
 namespace spider {
 namespace {
@@ -247,6 +251,42 @@ TEST(LpRouterTest, UnknownPairPlansNothing) {
   Rng rng(1);
   EXPECT_TRUE(
       router.plan(make_payment(1, 2, xrp(1)), xrp(1), net, rng).empty());
+}
+
+TEST(LpRouterTest, ModelsTheWarmedEdgeDisjointPaths) {
+  // The LP reads its candidates from the shared warmed store when there is
+  // one and searches them itself otherwise; either way every modeled pair
+  // gets exactly the 4 edge-disjoint shortest paths (§6.1).
+  for (const char* name : {"isp", "ripple-like"}) {
+    ScenarioParams params;
+    params.payments = 400;
+    const ScenarioInstance scenario = build_scenario(name, params);
+    const SpiderNetwork spider(scenario.graph, scenario.config);
+    spider.warm_paths(scenario.trace);
+    ASSERT_NE(spider.path_store(), nullptr);
+    const PaymentGraph demands =
+        estimate_demand_matrix(scenario.graph.num_nodes(), scenario.trace);
+    ASSERT_FALSE(demands.edges().empty());
+    Network net(scenario.graph);
+    RouterInitContext context;
+    context.demand_hint = &demands;
+    context.shared_paths = spider.path_store();
+    LpRouter shared(4);
+    shared.init(net, context);
+    context.shared_paths = nullptr;
+    LpRouter searched(4);
+    searched.init(net, context);
+    for (const DemandEdge& d : demands.edges()) {
+      const std::vector<Path> want =
+          edge_disjoint_paths(scenario.graph, d.src, d.dst, 4);
+      const std::span<const Path> from_store = shared.pair_paths(d.src, d.dst);
+      const std::span<const Path> own = searched.pair_paths(d.src, d.dst);
+      EXPECT_EQ(std::vector<Path>(from_store.begin(), from_store.end()), want)
+          << name << " pair " << d.src << "->" << d.dst;
+      EXPECT_EQ(std::vector<Path>(own.begin(), own.end()), want)
+          << name << " pair " << d.src << "->" << d.dst;
+    }
+  }
 }
 
 // ---- Max-flow ----
